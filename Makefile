@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race race-short bench bench-store bench-server bench-resilience bench-durability chaos killrestart fsck load load-smoke shard ingest replicate failover experiments fuzz clean
+.PHONY: all build vet test perfbench test-short race race-short bench bench-store bench-server bench-resilience bench-durability chaos killrestart fsck load load-smoke shard ingest replicate failover experiments fuzz clean
 
-all: build vet test
+all: build vet test perfbench
 
 build:
 	$(GO) build ./...
@@ -14,6 +14,11 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# perfbench is its own module (root `go build ./...` skips it) but
+# imports internal/*, so an API change there must keep it compiling.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 test-short:
 	$(GO) test -short ./...

@@ -499,3 +499,56 @@ func TestCLIFsckShardedExitCodes(t *testing.T) {
 		t.Fatalf("corrupt record not reported in shard %02d section: %+v", home, rep.Shards)
 	}
 }
+
+// TestPcdDrainsOnSIGTERMAtStartup sends SIGTERM the moment pcd prints
+// its "serving on" line. The drain handler must already be installed:
+// pcd exits 0 after logging "stopped" instead of dying undrained. The
+// race this guards is timing-dependent, so each run starts the daemon
+// several times.
+func TestPcdDrainsOnSIGTERMAtStartup(t *testing.T) {
+	bin := buildTools(t, "pcd")
+	store := t.TempDir()
+	for i := 0; i < 5; i++ {
+		cmd := exec.Command(filepath.Join(bin, "pcd"), "-store", store, "-create", "-addr", "127.0.0.1:0")
+		stdout, err := cmd.StdoutPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmd.Stderr = cmd.Stdout
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		sc := bufio.NewScanner(stdout)
+		for sc.Scan() {
+			line := sc.Text()
+			out.WriteString(line + "\n")
+			if strings.HasPrefix(line, "pcd: serving on ") {
+				if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := cmd.Wait(); err != nil {
+			t.Fatalf("start %d: pcd exited with %v after an immediate SIGTERM:\n%s", i, err, out.String())
+		}
+		if !strings.Contains(out.String(), "pcd: stopped") {
+			t.Fatalf("start %d: no drain: missing the stopped line:\n%s", i, out.String())
+		}
+	}
+}
+
+// TestPcbenchRejectsUnknownExperiment: a mistyped -exp must fail and
+// name the valid experiments, not exit 0 having run nothing.
+func TestPcbenchRejectsUnknownExperiment(t *testing.T) {
+	bin := buildTools(t, "pcbench")
+	out, err := exec.Command(filepath.Join(bin, "pcbench"), "-exp", "bogus").CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() == 0 {
+		t.Fatalf("pcbench -exp bogus: %v, want a non-zero exit\n%s", err, out)
+	}
+	for _, name := range []string{"all", "table1", "fig3", "scale"} {
+		if !strings.Contains(string(out), name) {
+			t.Errorf("pcbench -exp bogus output does not list %q:\n%s", name, out)
+		}
+	}
+}

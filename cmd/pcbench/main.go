@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"log"
 	"runtime"
+	"strings"
 
 	"repro/internal/harness"
 	"repro/internal/history"
@@ -57,10 +58,14 @@ func main() {
 	}
 	env := harness.NewEnv(st)
 
+	var names []string
+	ran := false
 	run := func(name string, f func() (string, error)) {
+		names = append(names, name)
 		if *exp != "all" && *exp != name {
 			return
 		}
+		ran = true
 		out, err := f()
 		if err != nil {
 			log.Fatalf("%s: %v", name, err)
@@ -134,4 +139,7 @@ func main() {
 		}
 		return r.Render(), nil
 	})
+	if !ran {
+		log.Fatalf("unknown -exp %q (want all, %s)", *exp, strings.Join(names, ", "))
+	}
 }

@@ -42,20 +42,16 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"runtime"
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/app"
 	"repro/internal/client"
-	"repro/internal/harness"
-	"repro/internal/history"
 	"repro/internal/ingest"
+	"repro/internal/node"
 	"repro/internal/server"
 	"repro/internal/sim"
 )
@@ -254,12 +250,15 @@ func runPass(cfg feedConfig, serverURL, storeDir string, harvestOn bool, label s
 			// -compare passes each get their own store under -store.
 			dir = dir + "-" + label
 		}
-		url, stop, err := selfHost(dir, cfg)
+		n, err := node.Start(node.Config{
+			Store: dir, Create: true, Shards: cfg.shards, WAL: true,
+			Server: server.Options{Ingest: ingest.ManagerOptions{EvalBudget: cfg.budget}},
+		})
 		if err != nil {
 			return nil, err
 		}
-		shutdown = stop
-		cl = client.NewResilient(url, 8)
+		shutdown = n.Stop
+		cl = client.NewResilient(n.URL, 8)
 	}
 
 	rep := &passReport{Harvest: harvestOn}
@@ -289,37 +288,6 @@ func runPass(cfg feedConfig, serverURL, storeDir string, harvestOn bool, label s
 		}
 	}
 	return rep, nil
-}
-
-// selfHost opens (creating) a store under dir and serves a pcd over
-// loopback, returning its URL and a shutdown func.
-func selfHost(dir string, cfg feedConfig) (string, func() error, error) {
-	st, err := history.OpenStoreAuto(dir, cfg.shards, history.DurableOptions{Create: true, WAL: true})
-	if err != nil {
-		return "", nil, err
-	}
-	srv := server.New(harness.NewEnv(st), server.Options{
-		Ingest: ingest.ManagerOptions{EvalBudget: cfg.budget},
-	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		st.Close()
-		return "", nil, err
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go httpSrv.Serve(ln)
-	stop := func() error {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			return err
-		}
-		if err := httpSrv.Shutdown(ctx); err != nil {
-			return err
-		}
-		return st.Close()
-	}
-	return "http://" + ln.Addr().String(), stop, nil
 }
 
 // feedWave runs one wave: cfg.streams concurrent simulated runs, each
