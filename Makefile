@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test perfbench test-short race race-short bench bench-store bench-server bench-resilience bench-durability chaos killrestart fsck load load-smoke shard ingest replicate failover experiments fuzz clean
+.PHONY: all build vet test perfbench test-short race race-short bench bench-store bench-server bench-resilience bench-durability chaos killrestart fsck load load-smoke shard ingest replicate failover experiments fuzz loc clean
 
 all: build vet test perfbench
 
@@ -151,6 +151,13 @@ fuzz:
 	$(GO) test -fuzz FuzzParseMappings -fuzztime 10s ./internal/core/
 	$(GO) test -fuzz FuzzParseFocus -fuzztime 10s ./internal/resource/
 	$(GO) test -fuzz FuzzSplitPath -fuzztime 10s ./internal/resource/
+
+# Production size: non-test Go lines outside perfbench/ (and outside
+# hidden directories such as build caches) — the net line delta each
+# change reports.
+loc:
+	@find . -path './.*' -prune -o -path ./perfbench -prune -o \
+		-name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
 
 clean:
 	$(GO) clean -testcache

@@ -102,11 +102,13 @@
 // kill-restart harness drives. Never set them in production.
 //
 // When the store's backend starts failing (-breaker-threshold
-// consecutive failures), the daemon degrades instead of dying: reads
-// keep serving from the in-memory index, writes are refused with 503 +
-// Retry-After, /healthz reports "degraded", and every -breaker-cooldown
-// a health check probes the backend, returning the daemon to "ok" once
-// it heals — no restart needed. On SIGINT/SIGTERM the daemon drains:
+// consecutive failures), the store's breaker opens instead of the
+// daemon dying: reads keep serving from the in-memory index, writes are
+// refused with 503 + Retry-After, and every -breaker-cooldown a health
+// check probes the backend, closing the breaker once it heals — no
+// restart needed. In a sharded store each shard has its own breaker, so
+// one dead shard refuses only its own keyspace; /healthz reports
+// "degraded" only while every shard refuses writes. On SIGINT/SIGTERM the daemon drains:
 // new diagnoses are refused with 503 while in-flight sessions run to
 // completion (bounded by -drain-timeout).
 package main
@@ -137,8 +139,8 @@ func main() {
 	flag.IntVar(&cfg.Server.Sessions, "sessions", 0, "max concurrent diagnosis sessions (0 = GOMAXPROCS)")
 	flag.DurationVar(&cfg.Server.SessionTimeout, "session-timeout", 0, "per-request diagnosis timeout, queueing included (0 = none)")
 	flag.DurationVar(&cfg.DrainTimeout, "drain-timeout", 30*time.Second, "how long shutdown waits for in-flight sessions")
-	flag.IntVar(&cfg.Server.BreakerThreshold, "breaker-threshold", 3, "consecutive backend failures before degraded mode")
-	flag.DurationVar(&cfg.Server.BreakerCooldown, "breaker-cooldown", 5*time.Second, "degraded-mode probe interval and Retry-After hint")
+	flag.IntVar(&cfg.BreakerThreshold, "breaker-threshold", 3, "consecutive backend failures that open the store's breaker (each shard's, in a sharded store)")
+	flag.DurationVar(&cfg.Server.BreakerCooldown, "breaker-cooldown", 5*time.Second, "store recovery probe interval while any part is down, and Retry-After hint")
 	flag.IntVar(&cfg.Server.SessionRetries, "session-retries", 1, "re-runs of a diagnosis session after a transient failure")
 	flag.BoolVar(&cfg.WAL, "wal", true, "journal store writes ahead of record files (crash safety)")
 	walSync := flag.String("wal-sync", "always", "WAL fsync policy: always | interval | none")

@@ -25,7 +25,7 @@
 //
 //	0  clean — nothing to report
 //	1  recoverable crash residue (torn WAL tail, unapplied journal
-//	   entries, orphaned temp files); OpenStore or -repair fixes it
+//	   entries, orphaned temp files); OpenStoreDurable or -repair fixes it
 //	2  corruption (invalid records, bad frames before the journal
 //	   tail) or the store could not be checked at all
 //

@@ -6,7 +6,7 @@ import (
 	"repro/internal/history"
 )
 
-// RetryStats reports what one RunSessionsRetry call did beyond the
+// RetryStats reports what one RunSessionsRetryWith call did beyond the
 // first attempt.
 type RetryStats struct {
 	// Retried counts job re-runs (a job retried twice counts twice);
@@ -24,23 +24,19 @@ type TransientClassifier func(error) bool
 
 // SessionRunner is the signature of RunSessionsGated — the unit the
 // retry wrapper re-invokes. The diagnosis service passes its own
-// (test-replaceable) runner through RunSessionsRetryWith.
+// (test-replaceable) runner.
 type SessionRunner func(ctx context.Context, jobs []SessionJob, workers int, gate Gate) ([]*SessionResult, error)
 
-// RunSessionsRetry is RunSessionsGated plus bounded re-execution of
-// failed jobs: after each full pass, jobs that failed with a transient
-// error are re-run (up to retries extra passes), and their results land
-// in the same input-order slots. Determinism is preserved — a session
-// is pure computation per seed, so a retried job that succeeds yields
-// the identical result it would have produced without the fault.
+// RunSessionsRetryWith runs jobs through run (normally
+// RunSessionsGated) with bounded re-execution of failed jobs: after each
+// full pass, jobs that failed with a transient error are re-run (up to
+// retries extra passes), and their results land in the same input-order
+// slots. Determinism is preserved — a session is pure computation per
+// seed, so a retried job that succeeds yields the identical result it
+// would have produced without the fault.
 //
 // The returned error aggregates only the failures that survived every
 // retry, with Index still referring to the original job slice.
-func RunSessionsRetry(ctx context.Context, jobs []SessionJob, workers int, gate Gate, retries int, transient TransientClassifier) ([]*SessionResult, RetryStats, error) {
-	return RunSessionsRetryWith(RunSessionsGated, ctx, jobs, workers, gate, retries, transient)
-}
-
-// RunSessionsRetryWith is RunSessionsRetry over an explicit runner.
 func RunSessionsRetryWith(run SessionRunner, ctx context.Context, jobs []SessionJob, workers int, gate Gate, retries int, transient TransientClassifier) ([]*SessionResult, RetryStats, error) {
 	if transient == nil {
 		transient = history.IsTransient

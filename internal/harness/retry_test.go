@@ -34,9 +34,9 @@ func TestRunSessionsRetryRecovers(t *testing.T) {
 		flakyJob(2, 0, nil),
 		flakyJob(3, 1, transient),
 	}
-	results, stats, err := RunSessionsRetry(context.Background(), jobs, 2, nil, 3, nil)
+	results, stats, err := RunSessionsRetryWith(RunSessionsGated, context.Background(), jobs, 2, nil, 3, nil)
 	if err != nil {
-		t.Fatalf("RunSessionsRetry = %v, want full recovery", err)
+		t.Fatalf("RunSessionsRetryWith = %v, want full recovery", err)
 	}
 	for i := range jobs {
 		if results[i] == nil || results[i].EndTime != float64(i) {
@@ -60,7 +60,7 @@ func TestRunSessionsRetryFinalErrors(t *testing.T) {
 			return nil, fatal
 		}),
 	}
-	results, stats, err := RunSessionsRetry(context.Background(), jobs, 2, nil, 5, nil)
+	results, stats, err := RunSessionsRetryWith(RunSessionsGated, context.Background(), jobs, 2, nil, 5, nil)
 	var sched *SchedulerError
 	if !errors.As(err, &sched) || len(sched.Jobs) != 1 {
 		t.Fatalf("error = %v, want one surviving failure", err)
@@ -84,7 +84,7 @@ func TestRunSessionsRetryFinalErrors(t *testing.T) {
 func TestRunSessionsRetryExhausted(t *testing.T) {
 	transient := &history.BackendError{Op: "scan", Err: errors.New("still down")}
 	jobs := []SessionJob{flakyJob(0, 100, transient)}
-	results, stats, err := RunSessionsRetry(context.Background(), jobs, 1, nil, 2, nil)
+	results, stats, err := RunSessionsRetryWith(RunSessionsGated, context.Background(), jobs, 1, nil, 2, nil)
 	var sched *SchedulerError
 	if !errors.As(err, &sched) || len(sched.Jobs) != 1 || sched.Jobs[0].Index != 0 {
 		t.Fatalf("error = %v, want job 0's surviving failure", err)
@@ -108,7 +108,7 @@ func TestRunSessionsRetryHonorsContext(t *testing.T) {
 		cancel()
 		return nil, transient
 	})}
-	_, _, err := RunSessionsRetry(ctx, jobs, 1, nil, 10, nil)
+	_, _, err := RunSessionsRetryWith(RunSessionsGated, ctx, jobs, 1, nil, 10, nil)
 	if err == nil {
 		t.Fatal("cancelled retry loop reported success")
 	}
@@ -121,10 +121,10 @@ func TestRunSessionsRetryHonorsContext(t *testing.T) {
 // what retries: here everything is transient, even a plain error.
 func TestRunSessionsRetryCustomClassifier(t *testing.T) {
 	jobs := []SessionJob{flakyJob(0, 1, errors.New("plain"))}
-	results, _, err := RunSessionsRetry(context.Background(), jobs, 1, nil, 1,
+	results, _, err := RunSessionsRetryWith(RunSessionsGated, context.Background(), jobs, 1, nil, 1,
 		func(error) bool { return true })
 	if err != nil {
-		t.Fatalf("RunSessionsRetry = %v, want recovery under always-transient classifier", err)
+		t.Fatalf("RunSessionsRetryWith = %v, want recovery under always-transient classifier", err)
 	}
 	if results[0] == nil {
 		t.Errorf("results[0] = %+v", results[0])
@@ -141,9 +141,9 @@ func TestRunSessionsRetryOrderDeterminism(t *testing.T) {
 	for i := 0; i < n; i++ {
 		jobs[i] = flakyJob(i, i%3, transient) // thirds: clean, 1 fail, 2 fails
 	}
-	results, _, err := RunSessionsRetry(context.Background(), jobs, 4, nil, 3, nil)
+	results, _, err := RunSessionsRetryWith(RunSessionsGated, context.Background(), jobs, 4, nil, 3, nil)
 	if err != nil {
-		t.Fatalf("RunSessionsRetry = %v", err)
+		t.Fatalf("RunSessionsRetryWith = %v", err)
 	}
 	for i := range results {
 		if results[i] == nil || results[i].EndTime != float64(i) {
@@ -203,14 +203,14 @@ func TestRunSessionsRetryCancelledWhileGateSaturated(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		results, stats, err := RunSessionsRetry(ctx, jobs, len(jobs), gate, 3, nil)
+		results, stats, err := RunSessionsRetryWith(RunSessionsGated, ctx, jobs, len(jobs), gate, 3, nil)
 		done <- outcome{results, stats, err}
 	}()
 	var got outcome
 	select {
 	case got = <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("RunSessionsRetry still parked 10s after cancellation")
+		t.Fatal("RunSessionsRetryWith still parked 10s after cancellation")
 	}
 
 	var sched *SchedulerError

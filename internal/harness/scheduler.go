@@ -117,22 +117,17 @@ func (g slotGate) Release() { <-g }
 // is a *SchedulerError aggregating every failure (nil when all jobs
 // succeeded).
 func RunSessions(jobs []SessionJob, workers int) ([]*SessionResult, error) {
-	return RunSessionsContext(context.Background(), jobs, workers)
+	return RunSessionsGated(context.Background(), jobs, workers, nil)
 }
 
-// RunSessionsContext is RunSessions with cancellation: once ctx is done,
-// no new session starts and every not-yet-started job fails with
-// ctx.Err(). Sessions already in flight run to completion (a diagnosis
-// session is pure computation with no blocking points to interrupt).
-func RunSessionsContext(ctx context.Context, jobs []SessionJob, workers int) ([]*SessionResult, error) {
-	return RunSessionsGated(ctx, jobs, workers, nil)
-}
-
-// RunSessionsGated is RunSessionsContext with admission control: each
-// job additionally holds a slot of the (possibly shared) gate while it
-// runs. A nil gate admits everything. Jobs whose Acquire fails — the
-// context was cancelled while queued behind other sessions — fail with
-// that error and never start.
+// RunSessionsGated is RunSessions with cancellation and admission
+// control. Once ctx is done, no new session starts and every
+// not-yet-started job fails with ctx.Err(); sessions already in flight
+// run to completion (a diagnosis session is pure computation with no
+// blocking points to interrupt). Each job additionally holds a slot of
+// the (possibly shared) gate while it runs. A nil gate admits
+// everything. Jobs whose Acquire fails — the context was cancelled while
+// queued behind other sessions — fail with that error and never start.
 func RunSessionsGated(ctx context.Context, jobs []SessionJob, workers int, gate Gate) ([]*SessionResult, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

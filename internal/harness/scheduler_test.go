@@ -171,7 +171,7 @@ func TestRunSessionsContextCancel(t *testing.T) {
 			return &SessionResult{}, nil
 		})
 	}
-	results, err := RunSessionsContext(ctx, jobs, 3)
+	results, err := RunSessionsGated(ctx, jobs, 3, nil)
 	if ran.Load() != 0 {
 		t.Errorf("%d sessions ran under a dead context", ran.Load())
 	}
@@ -205,7 +205,7 @@ func TestRunSessionsMidwayCancel(t *testing.T) {
 		cancel()
 		close(release)
 	}()
-	results, err := RunSessionsContext(ctx, jobs, 1)
+	results, err := RunSessionsGated(ctx, jobs, 1, nil)
 	if results[0] == nil {
 		t.Error("the in-flight session should have completed")
 	}

@@ -169,7 +169,7 @@ func (b *FSBackend) Put(key RecordKey, data []byte) error {
 	defer func() {
 		// Structural cleanup: whichever step fails, the temp file never
 		// outlives the call. A crash between write and rename still
-		// orphans it; SweepTemp reclaims those at the next OpenStore.
+		// orphans it; SweepTemp reclaims those at the next OpenStoreDurable.
 		if !committed {
 			os.Remove(tmpName)
 		}
@@ -319,7 +319,7 @@ func otherKeysLegacyFile(data []byte, key RecordKey, name string) bool {
 	return k != key && legacyFileName(k) == name
 }
 
-// QuarantineDir is the subdirectory OpenStore moves corrupt records
+// QuarantineDir is the subdirectory OpenStoreDurable moves corrupt records
 // into. Files in it are ignored by Scan; moving one back into the store
 // directory (and reopening) restores the record.
 const QuarantineDir = "quarantine"

@@ -15,7 +15,7 @@ import (
 // walks a store directory without opening it as a Store: record files,
 // WAL framing and CRCs, WAL-vs-disk agreement, the session journal, and
 // quarantine accounting. Findings are graded so the CLI can exit 0
-// (clean), 1 (recoverable crash residue — what OpenStore would repair),
+// (clean), 1 (recoverable crash residue — what OpenStoreDurable would repair),
 // or 2 (corruption — data that cannot be reconstructed from the store
 // itself).
 

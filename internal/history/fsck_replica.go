@@ -66,7 +66,7 @@ func FsckReplica(followerDir, primaryDir string) (*FsckReport, error) {
 
 // foldStoreState reconstructs a store's effective record state offline:
 // the valid record files overlaid with the journal's fold (last
-// acknowledged write per key), exactly the state OpenStore would serve.
+// acknowledged write per key), exactly the state OpenStoreDurable would serve.
 // Sharded layouts merge every shard.
 func foldStoreState(dir string) (map[RecordKey][]byte, error) {
 	if _, err := os.Stat(dir); err != nil {

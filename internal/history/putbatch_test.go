@@ -120,10 +120,11 @@ func TestPutBatchShardedDownShard(t *testing.T) {
 	defer sh.Close()
 	// poisson/A routes to shard 3 (pinned by TestShardForKeyStable);
 	// force it down and batch a shard-3 record behind a healthy one.
-	sh.shards[3].mu.Lock()
-	sh.shards[3].down = true
-	sh.shards[3].lastErr = "forced down for test"
-	sh.shards[3].mu.Unlock()
+	st := sh.shards[3].st
+	st.brk.mu.Lock()
+	st.brk.open = true
+	st.brk.cause = "forced down for test"
+	st.brk.mu.Unlock()
 	batch := []*RunRecord{
 		shardSample("poisson", "A", "r1", 0.5), // shard 3: down
 		shardSample("poisson", "B", "r1", 0.4), // shard 2: healthy
@@ -141,7 +142,7 @@ func TestPutBatchShardedDownShard(t *testing.T) {
 	if _, err := sh.Load("poisson", "B", "r1"); err != nil {
 		t.Errorf("healthy group not saved: %v", err)
 	}
-	if _, err := sh.Load("poisson", "A", "r1"); err == nil || !errors.Is(err, errShardDown) {
+	if _, err := sh.Load("poisson", "A", "r1"); err == nil || !errors.Is(err, ErrDown) {
 		t.Errorf("down group load err = %v", err)
 	}
 }

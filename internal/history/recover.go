@@ -2,7 +2,7 @@ package history
 
 import "fmt"
 
-// QuarantinedEntry names one corrupt record OpenStore set aside, with
+// QuarantinedEntry names one corrupt record OpenStoreDurable set aside, with
 // the decode or read error that condemned it.
 type QuarantinedEntry struct {
 	// Name is the file basename, now under quarantine/.
@@ -59,7 +59,7 @@ func (r *RecoveryReport) Empty() bool {
 	return len(r.SweptTemp) == 0 && len(r.Quarantined) == 0 && r.WAL.Empty()
 }
 
-// Recovery returns the crash-recovery report of the OpenStore call that
+// Recovery returns the crash-recovery report of the OpenStoreDurable call that
 // produced this store, or nil when the store was not opened through the
 // recovering path (NewStore, NewMemStore, NewStoreWith).
 func (s *Store) Recovery() *RecoveryReport {

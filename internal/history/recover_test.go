@@ -31,7 +31,7 @@ func TestOpenStoreSweepsOrphanedTemp(t *testing.T) {
 	writeStoreFile(t, dir, ".put-123.tmp", []byte("half a rec"))
 	writeStoreFile(t, dir, ".put-456.tmp", nil)
 
-	st, err := OpenStore(dir)
+	st, err := OpenStoreDurable(dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestOpenStoreQuarantinesCorruptRecords(t *testing.T) {
 	writeStoreFile(t, dir, "poisson-A-torn.json", full[:len(full)/2])
 	writeStoreFile(t, dir, "poisson-A-junk.json", []byte("not json at all"))
 
-	st, err := OpenStore(dir)
+	st, err := OpenStoreDurable(dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestOpenStoreQuarantinesCorruptRecords(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "poisson-A-torn.json"), full, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := OpenStore(dir)
+	st2, err := OpenStoreDurable(dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestOpenStoreQuarantinesCorruptRecords(t *testing.T) {
 
 // TestOpenStoreRecoversTornFaultInjection drives the full crash story
 // through the injector: a torn write through a FaultBackend over a real
-// FSBackend leaves a truncated record on disk, and the next OpenStore
+// FSBackend leaves a truncated record on disk, and the next OpenStoreDurable
 // quarantines it.
 func TestOpenStoreRecoversTornFaultInjection(t *testing.T) {
 	dir := t.TempDir()
@@ -144,7 +144,7 @@ func TestOpenStoreRecoversTornFaultInjection(t *testing.T) {
 		t.Fatalf("Save through torn injector = %v, want injected failure", err)
 	}
 
-	reopened, err := OpenStore(dir)
+	reopened, err := OpenStoreDurable(dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestFSBackendRenameFailureCleansTemp(t *testing.T) {
 	}
 
 	// A recovering open of the same directory is a no-op.
-	st, err := OpenStore(dir)
+	st, err := OpenStoreDurable(dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,8 +58,8 @@ func TestParseRunKey(t *testing.T) {
 
 func TestOpenStoreMissingDir(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "no-such-store")
-	if _, err := OpenStore(missing); err == nil {
-		t.Fatal("OpenStore on a missing directory: want error, got nil")
+	if _, err := OpenStoreDurable(missing, DurableOptions{}); err == nil {
+		t.Fatal("OpenStoreDurable on a missing directory: want error, got nil")
 	}
 	// NewStore keeps its create-if-needed contract.
 	st, err := NewStore(missing)
@@ -69,8 +69,8 @@ func TestOpenStoreMissingDir(t *testing.T) {
 	if st.Len() != 0 {
 		t.Fatalf("fresh store Len = %d, want 0", st.Len())
 	}
-	// Once created, OpenStore succeeds.
-	if _, err := OpenStore(missing); err != nil {
-		t.Fatalf("OpenStore after create: %v", err)
+	// Once created, OpenStoreDurable succeeds.
+	if _, err := OpenStoreDurable(missing, DurableOptions{}); err != nil {
+		t.Fatalf("OpenStoreDurable after create: %v", err)
 	}
 }

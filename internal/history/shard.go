@@ -2,7 +2,6 @@ package history
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -39,12 +38,10 @@ type shardManifest struct {
 	Replicas int `json:"replicas,omitempty"`
 }
 
-// errShardDown marks operations refused because the target shard is
-// down (failed to open, or breaker-tripped on consecutive backend
-// failures). It is always wrapped in a BackendError, so the service
-// layer classifies it as storage trouble (503 + Retry-After), and it is
-// transient: a later Ping can revive the shard.
-var errShardDown = errors.New("history: shard down")
+// shardTimeout bounds each shard's contribution to a scatter-gather
+// read; a shard missing the deadline is absent for that call, and the
+// miss counts as a failure on the shard's breaker.
+const shardTimeout = 2 * time.Second
 
 // ShardForKey routes a record key to its shard: FNV-1a over
 // (app, version) folded through the jump consistent hash. Version-blind
@@ -125,18 +122,15 @@ type ShardFailover interface {
 	Promote(shard int) (ShardReplica, error)
 }
 
-// shardState is one shard plus its health: a breaker counting
-// consecutive backend failures, the down flag, and the last error for
-// operators. st is nil while the shard failed to open.
+// shardState is one shard: its store, which owns the shard's backend
+// breaker, and its last recovery outcome. st is nil while the shard
+// failed to open; the shard is down until a Ping reopens it.
 type shardState struct {
 	idx int
 	dir string
 
 	mu           sync.Mutex
 	st           *Store
-	down         bool
-	fails        int
-	lastErr      string
 	lastRecovery string
 	// promoted, once set, is the follower that owns this shard's keyspace:
 	// every later operation goes there and the local store stays retired
@@ -147,15 +141,20 @@ type shardState struct {
 	servedByReplica bool
 }
 
-// live returns the shard's store when it is up. A promoted shard is
-// never live — its keyspace belongs to the follower now.
+// live returns the shard's store when it is up: opened, its breaker
+// closed, and not promoted — a promoted shard's keyspace belongs to the
+// follower now.
 func (sh *shardState) live() (*Store, bool) {
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.down || sh.st == nil || sh.promoted != nil {
+	st, promoted := sh.st, sh.promoted
+	sh.mu.Unlock()
+	if st == nil || promoted != nil {
 		return nil, false
 	}
-	return sh.st, true
+	if open, _, _ := st.brk.state(); open {
+		return nil, false
+	}
+	return st, true
 }
 
 // replica returns the promoted handle when the shard has been handed
@@ -166,36 +165,17 @@ func (sh *shardState) replica() (ShardReplica, bool) {
 	return sh.promoted, sh.promoted != nil
 }
 
-// noteErr feeds the shard breaker with one backend failure; threshold
-// consecutive failures mark the shard down until a Ping revives it.
-func (sh *shardState) noteErr(threshold int, err error) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.lastErr = err.Error()
-	sh.fails++
-	if sh.fails >= threshold {
-		sh.down = true
-	}
-}
-
-// noteOK resets the consecutive-failure count. It does not clear the
-// down flag — only a successful Ping re-admits a shard, so one lucky
-// read cannot flap a broken shard back in.
-func (sh *shardState) noteOK() {
-	sh.mu.Lock()
-	sh.fails = 0
-	sh.mu.Unlock()
-}
-
-// downErr is the error a down shard returns for point operations.
+// downErr is the error a down shard returns for point operations: a
+// transient BackendError wrapping ErrDown, naming the open failure or
+// the breaker's last backend failure.
 func (sh *shardState) downErr(op string) error {
 	sh.mu.Lock()
-	msg := sh.lastErr
+	st, cause := sh.st, sh.lastRecovery
 	sh.mu.Unlock()
-	if msg == "" {
-		msg = "failed to open"
+	if st != nil {
+		_, _, cause = st.brk.state()
 	}
-	return &BackendError{Op: op, Err: fmt.Errorf("%w: shard %s (%s)", errShardDown, shardDirName(sh.idx), msg)}
+	return &BackendError{Op: op, Err: fmt.Errorf("shard down: %s (%s): %w", shardDirName(sh.idx), cause, ErrDown)}
 }
 
 // ShardedStore consistent-hash-routes records by (app, version) across
@@ -207,18 +187,17 @@ func (sh *shardState) downErr(op string) error {
 // output byte-identical to a single store holding the same records. A
 // failed shard degrades to absent (reads skip it, writes to its
 // keyspace fail fast as backend errors) instead of taking the store
-// down; Ping probes every shard and revives the ones that answer.
+// down. Each shard's Store owns that shard's backend breaker; Ping
+// probes every shard and revives the ones that answer.
 type ShardedStore struct {
-	dir       string
-	n         int
-	opts      DurableOptions
-	timeout   time.Duration
-	threshold int
-	shards    []*shardState
-	recovery  *RecoveryReport
-	replicas  int
-	failover  ShardFailover
-	promote   bool
+	dir      string
+	n        int
+	opts     DurableOptions
+	shards   []*shardState
+	recovery *RecoveryReport
+	replicas int
+	failover ShardFailover
+	promote  bool
 }
 
 // Shards returns the shard count pinned by the store's manifest.
@@ -244,17 +223,19 @@ func (s *ShardedStore) Shard(i int) (*Store, bool) {
 
 // SetFailover installs (or replaces) the replica seam after open — the
 // daemon wires replication up once the HTTP side exists, which is after
-// the store is built.
+// the store is built. Reads of a down shard then fail over to a
+// follower; promote (-promote) lets a write hand its keyspace over too,
+// which otherwise only FailoverPromote does.
 func (s *ShardedStore) SetFailover(f ShardFailover, promote bool) {
 	s.failover = f
 	s.promote = promote
 }
 
 // FailoverPromote hands shard's keyspace to its most-caught-up follower
-// through the failover seam, regardless of whether write-path promotion
-// (the -promote opt-in) is armed — this is the failure detector's hook:
-// promotion driven by observed sustained death, not by a write tripping
-// the breaker. Idempotent; the first promotion wins.
+// through the failover seam. It is the failure detector's hook —
+// promotion driven by observed sustained death, armed or not by the
+// -promote opt-in — and the write path's when -promote is set.
+// Idempotent; the first promotion wins.
 func (s *ShardedStore) FailoverPromote(shard int) error {
 	if s.failover == nil {
 		return fmt.Errorf("history: shard %02d: no failover seam installed", shard)
@@ -292,10 +273,11 @@ func (s *ShardedStore) Dir() string { return s.dir }
 // fault seam is installed.
 func (s *ShardedStore) shardOptions(i int, create bool) DurableOptions {
 	so := DurableOptions{
-		Create:     create,
-		WAL:        s.opts.WAL,
-		WALOptions: s.opts.WALOptions,
-		Wrap:       s.opts.Wrap,
+		Create:           create,
+		WAL:              s.opts.WAL,
+		WALOptions:       s.opts.WALOptions,
+		Wrap:             s.opts.Wrap,
+		BreakerThreshold: s.opts.BreakerThreshold,
 	}
 	if s.opts.WrapShard != nil {
 		so.Wrap = func(b Backend) Backend { return s.opts.WrapShard(i, b) }
@@ -354,22 +336,7 @@ func OpenSharded(dir string, n int, o DurableOptions) (*ShardedStore, error) {
 	if data != nil && o.Replicas == 0 {
 		replicas = m.Replicas
 	}
-	s := &ShardedStore{
-		dir:       dir,
-		n:         n,
-		opts:      o,
-		timeout:   o.ShardTimeout,
-		threshold: o.ShardBreakerThreshold,
-		replicas:  replicas,
-		failover:  o.Failover,
-		promote:   o.Promote,
-	}
-	if s.timeout <= 0 {
-		s.timeout = 2 * time.Second
-	}
-	if s.threshold <= 0 {
-		s.threshold = 3
-	}
+	s := &ShardedStore{dir: dir, n: n, opts: o, replicas: replicas}
 
 	rep := &RecoveryReport{}
 	opened := 0
@@ -381,8 +348,6 @@ func OpenSharded(dir string, n int, o DurableOptions) (*ShardedStore, error) {
 			if firstErr == nil {
 				firstErr = err
 			}
-			sh.down = true
-			sh.lastErr = err.Error()
 			sh.lastRecovery = "open failed: " + err.Error()
 			rep.Shards = append(rep.Shards, &ShardRecovery{Shard: i, Err: err.Error()})
 			s.shards = append(s.shards, sh)
@@ -494,19 +459,6 @@ func (s *ShardedStore) route(app, version string) *shardState {
 	return s.shards[ShardForKey(app, version, s.n)]
 }
 
-// observe feeds the shard breaker from one operation's outcome. Only
-// backend-grade failures count — validation errors and definitive
-// misses say nothing about the shard's health.
-func (s *ShardedStore) observe(sh *shardState, err error) {
-	if err == nil {
-		sh.noteOK()
-		return
-	}
-	if IsBackendError(err) && !errors.Is(err, os.ErrNotExist) {
-		sh.noteErr(s.threshold, err)
-	}
-}
-
 // fallback returns the replica handle able to serve a down shard: the
 // promoted follower when the keyspace was handed over, else a caught-up
 // reader for reads, else — when write failover is allowed — the follower
@@ -528,23 +480,10 @@ func (s *ShardedStore) fallback(sh *shardState, write bool) (ShardReplica, bool)
 		}
 		return r, ok
 	}
-	if !s.promote {
+	if !s.promote || s.FailoverPromote(sh.idx) != nil {
 		return nil, false
 	}
-	r, err := s.failover.Promote(sh.idx)
-	if err != nil || r == nil {
-		return nil, false
-	}
-	sh.mu.Lock()
-	// First promotion wins; Promote is idempotent on the replica side, so
-	// a concurrent racer got the same follower anyway.
-	if sh.promoted == nil {
-		sh.promoted = r
-	} else {
-		r = sh.promoted
-	}
-	sh.mu.Unlock()
-	return r, true
+	return sh.replica()
 }
 
 // Save routes the record to its shard. Writes to a down shard fail fast
@@ -563,9 +502,7 @@ func (s *ShardedStore) Save(rec *RunRecord) error {
 		}
 		return sh.downErr("put")
 	}
-	err := st.Save(rec)
-	s.observe(sh, err)
-	return err
+	return st.Save(rec)
 }
 
 // PutBatch validates every record, then groups the batch by owning
@@ -611,7 +548,6 @@ func (s *ShardedStore) PutBatch(recs []*RunRecord) (int, error) {
 		}
 		n, err := st.PutBatch(groups[idx])
 		saved += n
-		s.observe(sh, err)
 		if err != nil {
 			return saved, err
 		}
@@ -630,9 +566,7 @@ func (s *ShardedStore) Load(app, version, runID string) (*RunRecord, error) {
 		}
 		return nil, sh.downErr("get")
 	}
-	rec, err := st.Load(app, version, runID)
-	s.observe(sh, err)
-	return rec, err
+	return st.Load(app, version, runID)
 }
 
 // Delete routes the delete to the shard owning (app, version). Like
@@ -647,9 +581,7 @@ func (s *ShardedStore) Delete(app, version, runID string) error {
 		}
 		return sh.downErr("delete")
 	}
-	err := st.Delete(app, version, runID)
-	s.observe(sh, err)
-	return err
+	return st.Delete(app, version, runID)
 }
 
 // shardResult carries one shard's scatter contribution back by index,
@@ -674,31 +606,29 @@ type shardSource interface {
 // shard serves from a follower when the replica seam can supply one, so
 // its keyspace contributes to merged reads instead of turning absent.
 // A shard that errors or misses the deadline contributes nothing to this
-// call and — local sources only — feeds the shard breaker. Results are
-// gathered in shard order.
+// call; a local shard that misses it also takes a failure on its
+// breaker. Results are gathered in shard order.
 func scatter[T any](s *ShardedStore, op string, f func(src shardSource) (T, error)) []T {
 	ch := make(chan shardResult[T], s.n)
-	launched := make([]bool, s.n)
-	viaReplica := make([]bool, s.n)
+	local := make([]*Store, s.n)
 	pending := 0
 	for i, sh := range s.shards {
 		var src shardSource
 		if st, ok := sh.live(); ok {
 			src = st
+			local[i] = st
 		} else if r, ok := s.fallback(sh, false); ok {
 			src = r
-			viaReplica[i] = true
 		} else {
 			continue
 		}
-		launched[i] = true
 		pending++
 		go func(i int, src shardSource) {
 			v, err := f(src)
 			ch <- shardResult[T]{idx: i, val: v, err: err}
 		}(i, src)
 	}
-	timer := time.NewTimer(s.timeout)
+	timer := time.NewTimer(shardTimeout)
 	defer timer.Stop()
 	got := make([]*shardResult[T], s.n)
 	received := 0
@@ -714,24 +644,13 @@ func scatter[T any](s *ShardedStore, op string, f func(src shardSource) (T, erro
 		}
 	}
 	out := make([]T, 0, s.n)
-	for i, sh := range s.shards {
-		r := got[i]
-		if r == nil {
-			if launched[i] && !viaReplica[i] {
-				sh.noteErr(s.threshold, fmt.Errorf("history: shard %s: %s timed out after %s", shardDirName(i), op, s.timeout))
-			}
-			continue
+	for i, r := range got {
+		switch {
+		case r == nil && local[i] != nil:
+			local[i].brk.observe(&BackendError{Op: op, Err: fmt.Errorf("history: shard %s: %s timed out after %s", shardDirName(i), op, shardTimeout)})
+		case r != nil && r.err == nil:
+			out = append(out, r.val)
 		}
-		if r.err != nil {
-			if !viaReplica[i] {
-				s.observe(sh, r.err)
-			}
-			continue
-		}
-		if !viaReplica[i] {
-			sh.noteOK()
-		}
-		out = append(out, r.val)
 	}
 	return out
 }
@@ -847,9 +766,9 @@ func (s *ShardedStore) WALStats() WALStats {
 	return total
 }
 
-// Ping probes every shard and revives the ones that answer: a
-// breaker-tripped shard whose store responds is re-admitted, and a
-// shard that failed to open is reopened in place (replaying its WAL).
+// Ping probes every shard and revives the ones that answer: a shard
+// whose store responds has its breaker closed, and a shard that failed
+// to open is reopened in place (replaying its WAL).
 // Ping returns nil while at least one shard serves — a single dead
 // shard degrades its keyspace, it does not take the daemon down — and
 // the first failure when the whole store is dark.
@@ -887,35 +806,25 @@ func (s *ShardedStore) pingShard(sh *shardState) error {
 		st, err := s.openShard(sh.idx)
 		if err != nil {
 			sh.mu.Lock()
-			sh.lastErr = err.Error()
 			sh.lastRecovery = "open failed: " + err.Error()
 			sh.mu.Unlock()
 			return err
 		}
 		sh.mu.Lock()
 		sh.st = st
-		sh.down = false
-		sh.fails = 0
-		sh.lastErr = ""
 		sh.lastRecovery = recoverySummary(st.Recovery())
 		sh.mu.Unlock()
 		return nil
 	}
-	if err := st.Ping(); err != nil {
-		sh.mu.Lock()
-		sh.lastErr = err.Error()
-		sh.mu.Unlock()
-		return err
-	}
-	sh.mu.Lock()
-	sh.down = false
-	sh.fails = 0
-	sh.mu.Unlock()
-	return nil
+	return st.Ping()
 }
 
 // Close closes every shard that opened, returning the first error.
-func (s *ShardedStore) Close() error {
+func (s *ShardedStore) Close() error { return s.eachOpened((*Store).Close) }
+
+// eachOpened runs f over every shard store that opened, returning the
+// first error.
+func (s *ShardedStore) eachOpened(f func(*Store) error) error {
 	var firstErr error
 	for _, sh := range s.shards {
 		sh.mu.Lock()
@@ -924,49 +833,58 @@ func (s *ShardedStore) Close() error {
 		if st == nil {
 			continue
 		}
-		if err := st.Close(); err != nil && firstErr == nil {
+		if err := f(st); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
 }
 
-// ShardStats snapshots every shard's health gauges in shard order.
+// ShardStats snapshots every shard's health gauges in shard order. A
+// shard is degraded while it failed to open or its breaker is open.
 func (s *ShardedStore) ShardStats() []ShardInfo {
 	out := make([]ShardInfo, 0, s.n)
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		info := ShardInfo{Shard: sh.idx, Degraded: sh.down, LastRecovery: sh.lastRecovery}
-		switch {
-		case sh.promoted != nil:
-			info.Failover = "promoted"
-		case sh.servedByReplica && sh.down:
-			info.Failover = "reads"
-		}
-		st := sh.st
+		info := ShardInfo{Shard: sh.idx, Degraded: true, LastRecovery: sh.lastRecovery}
+		st, promoted, servedByReplica := sh.st, sh.promoted != nil, sh.servedByReplica
 		sh.mu.Unlock()
 		if st != nil {
 			info.Records = st.Len()
+			info.Degraded, _, _ = st.brk.state()
+		}
+		switch {
+		case promoted:
+			info.Failover = "promoted"
+		case servedByReplica && info.Degraded:
+			info.Failover = "reads"
 		}
 		out = append(out, info)
 	}
 	return out
 }
 
-// SyncWAL flushes every open shard journal to stable storage — the
-// graceful-shutdown barrier, independent of each journal's sync policy.
-func (s *ShardedStore) SyncWAL() error {
-	var firstErr error
+// Health counts the shards that refuse writes — down and not handed to
+// a follower — and sums the shard breakers' opens.
+func (s *ShardedStore) Health() Health {
+	h := Health{Parts: s.n}
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		st := sh.st
+		st, promoted := sh.st, sh.promoted != nil
 		sh.mu.Unlock()
-		if st == nil {
-			continue
+		down := true
+		if st != nil {
+			part := st.Health()
+			h.BreakerOpens += part.BreakerOpens
+			down = part.Down > 0
 		}
-		if err := st.SyncWAL(); err != nil && firstErr == nil {
-			firstErr = err
+		if down && !promoted {
+			h.Down++
 		}
 	}
-	return firstErr
+	return h
 }
+
+// SyncWAL flushes every open shard journal to stable storage — the
+// graceful-shutdown barrier, independent of each journal's sync policy.
+func (s *ShardedStore) SyncWAL() error { return s.eachOpened((*Store).SyncWAL) }

@@ -283,8 +283,8 @@ func TestOpenStoreAutoDetectsLayout(t *testing.T) {
 func TestShardedDegradationAndRevival(t *testing.T) {
 	faults := make(map[int]*FaultBackend)
 	sh, err := OpenSharded(t.TempDir(), 4, DurableOptions{
-		Create:                true,
-		ShardBreakerThreshold: 2,
+		Create:           true,
+		BreakerThreshold: 2,
 		WrapShard: func(shard int, b Backend) Backend {
 			fb := NewFaultBackend(b, FaultConfig{Seed: int64(shard)})
 			faults[shard] = fb

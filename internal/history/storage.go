@@ -41,9 +41,12 @@ type Storage interface {
 	// Recovery reports what opening the store repaired (nil when the
 	// store was not opened through a recovering path).
 	Recovery() *RecoveryReport
-	// Ping probes the storage engine; nil means healthy. Implementations
-	// may use it to re-admit storage that had been marked down.
+	// Ping probes the storage engine; nil means healthy. A successful
+	// probe closes the backend breaker of every part that answers.
 	Ping() error
+	// Health snapshots the backend breakers: how many parts (fault
+	// domains) the storage has and how many refuse writes.
+	Health() Health
 	// WALStats totals the write-ahead journal's counters (the zero value
 	// when journaling is off).
 	WALStats() WALStats
@@ -55,6 +58,18 @@ type Storage interface {
 	Dir() string
 	// Close flushes and closes the journal(s); reads keep working.
 	Close() error
+}
+
+// Health is a storage's breaker state as the service layer reads it. A
+// Store is one part; a ShardedStore has one part per shard, and a shard
+// that failed to open counts as down until a Ping reopens it.
+type Health struct {
+	// Parts is the number of fault domains; Down is how many of them
+	// refuse writes. Down == Parts means the whole storage is down.
+	Parts, Down int
+	// BreakerOpens counts breaker closed→open transitions, summed over
+	// the parts.
+	BreakerOpens uint64
 }
 
 // Both store layouts satisfy the interface.

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"time"
 )
 
 // Store is the experiment-store service layer: a concurrency-safe façade
@@ -36,6 +35,72 @@ type Store struct {
 	recs     map[RecordKey]*RunRecord
 	issues   []ScanIssue
 	recovery *RecoveryReport
+
+	brk breaker
+}
+
+// ErrDown marks a write refused without touching the journal or the
+// backend: the store's breaker is open, or a sharded store's owning
+// shard is down. It arrives inside a transient BackendError.
+var ErrDown = errors.New("history: store down")
+
+// breaker is a Store's consecutive-failure circuit breaker, the one
+// backend breaker per fault domain (DESIGN.md §9). Backend errors count
+// (a miss is an answer, not a fault); once open, writes fail fast with
+// ErrDown while index reads keep serving, and only a successful Ping
+// closes it, so one lucky write cannot flap a broken backend back in.
+type breaker struct {
+	mu               sync.Mutex
+	threshold, fails int
+	open             bool
+	opens            uint64
+	cause            string // the last backend failure
+}
+
+// observe feeds one backend outcome into the breaker: success ends the
+// failure streak, a backend error extends it.
+func (b *breaker) observe(err error) {
+	if err != nil && (!IsBackendError(err) || errors.Is(err, os.ErrNotExist)) {
+		return
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if err == nil {
+		b.fails = 0
+		return
+	}
+	b.fails++
+	b.cause = err.Error()
+	if !b.open && b.fails >= b.threshold {
+		b.open, b.opens = true, b.opens+1
+	}
+}
+
+// refuse returns the fail-fast error while the breaker is open.
+func (b *breaker) refuse(op string) error {
+	if open, _, cause := b.state(); open {
+		return &BackendError{Op: op, Err: fmt.Errorf("%w (breaker open; last failure: %s)", ErrDown, cause)}
+	}
+	return nil
+}
+
+// state snapshots whether the breaker is open, how often it opened, and
+// the last backend failure.
+func (b *breaker) state() (open bool, opens uint64, cause string) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.open, b.opens, b.cause
+}
+
+// Health reports the store as one fault domain, down while its breaker
+// is open.
+func (s *Store) Health() Health {
+	open, opens, _ := s.brk.state()
+	h := Health{Parts: 1, BreakerOpens: opens}
+	if open {
+		h.Down = 1
+	}
+	return h
 }
 
 // NewStore opens (creating if needed) a filesystem-backed store rooted
@@ -48,24 +113,10 @@ func NewStore(dir string) (*Store, error) {
 	return NewStoreWith(b)
 }
 
-// OpenStore opens an existing filesystem-backed store rooted at dir,
-// failing when the directory does not exist. Read-only tools use this
-// instead of NewStore so that a mistyped -store path surfaces as an
-// error rather than as a silently empty store.
-//
-// OpenStore also runs crash recovery: orphaned atomic-write temp files
-// are swept, and records the scan cannot decode are moved into the
-// quarantine/ subdirectory (with a REPORT.txt line each) instead of
-// being silently skipped forever. The Recovery method reports what was
-// done; quarantined files are restorable by moving them back.
-func OpenStore(dir string) (*Store, error) {
-	return OpenStoreDurable(dir, DurableOptions{})
-}
-
 // DurableOptions configures OpenStoreDurable.
 type DurableOptions struct {
 	// Create makes the store directory when absent instead of failing
-	// (NewStore semantics with the recovery pass of OpenStore).
+	// (NewStore semantics with the recovery pass of OpenStoreDurable).
 	Create bool
 	// WAL enables the write-ahead journal under <dir>/wal: Save and
 	// Delete append there before the backend mutation, and the journal
@@ -78,6 +129,10 @@ type DurableOptions struct {
 	// is built over it — the seam the chaos tooling uses to interpose a
 	// FaultBackend. The journal replays through the wrapped backend too.
 	Wrap func(Backend) Backend
+	// BreakerThreshold is the consecutive-backend-failure count that
+	// opens the store's breaker (each shard's, in a sharded layout);
+	// <= 0 means 3.
+	BreakerThreshold int
 
 	// The remaining fields apply only to sharded layouts (OpenSharded /
 	// OpenStoreAuto); OpenStoreDurable ignores them.
@@ -85,34 +140,28 @@ type DurableOptions struct {
 	// WrapShard wraps each shard's backend individually, taking
 	// precedence over Wrap — the seam for faulting a single shard.
 	WrapShard func(shard int, b Backend) Backend
-	// ShardTimeout bounds each shard's contribution to a scatter-gather
-	// read; a shard missing the deadline is treated as absent for that
-	// call. Zero means 2s.
-	ShardTimeout time.Duration
-	// ShardBreakerThreshold is the consecutive-backend-failure count
-	// that marks a shard down until a Ping revives it. Zero means 3.
-	ShardBreakerThreshold int
 	// Replicas records the follower count the deployment expects per
 	// shard in the layout manifest (0 = unreplicated). Informational for
 	// the store itself; the replication layer reads it back.
 	Replicas int
-	// Failover, when non-nil, supplies replica handles for down shards:
-	// reads fail over to a follower instead of degrading to absent, and —
-	// with Promote set — writes do too, via one-way promotion.
-	Failover ShardFailover
-	// Promote allows a down shard's keyspace to be handed to a follower
-	// for writes. Without it failover is read-only.
-	Promote bool
 }
 
-// OpenStoreDurable opens a filesystem-backed store with the durability
-// ladder of DESIGN.md §10: temp-file sweep, then write-ahead-journal
-// replay (so a torn rename or a crash mid-write never loses an
-// acknowledged record), then the quarantine pass over whatever is still
-// unreadable. The order matters — a record the journal can roll forward
-// is repaired, not quarantined. The replay outcome is part of Recovery's
-// report. A store written before the journal existed (no wal/ directory)
-// opens cleanly with an empty journal.
+// OpenStoreDurable opens a filesystem-backed store rooted at dir,
+// failing when the directory does not exist unless o.Create is set —
+// read-only tools open this way so that a mistyped -store path surfaces
+// as an error rather than as a silently empty store.
+//
+// The open runs crash recovery, the durability ladder of DESIGN.md §10:
+// orphaned atomic-write temp files are swept, then the write-ahead
+// journal is replayed (so a torn rename or a crash mid-write never
+// loses an acknowledged record), then records the scan still cannot
+// decode are moved into the quarantine/ subdirectory (with a REPORT.txt
+// line each) instead of being silently skipped forever. The order
+// matters — a record the journal can roll forward is repaired, not
+// quarantined. The Recovery method reports what was done; quarantined
+// files are restorable by moving them back. A store written before the
+// journal existed (no wal/ directory) opens cleanly with an empty
+// journal.
 func OpenStoreDurable(dir string, o DurableOptions) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("history: empty store directory")
@@ -178,6 +227,9 @@ func OpenStoreDurable(dir string, o DurableOptions) (*Store, error) {
 		return nil, err
 	}
 	st.wal = wal
+	if o.BreakerThreshold > 0 {
+		st.brk.threshold = o.BreakerThreshold
+	}
 	if err := st.quarantinePass(fb, rep); err != nil {
 		return nil, fmt.Errorf("history: recover store: %w", err)
 	}
@@ -199,7 +251,7 @@ func NewStoreWith(b Backend) (*Store, error) {
 	if b == nil {
 		return nil, fmt.Errorf("history: nil backend")
 	}
-	s := &Store{backend: b}
+	s := &Store{backend: b, brk: breaker{threshold: 3}}
 	if err := s.Refresh(); err != nil {
 		return nil, err
 	}
@@ -277,8 +329,9 @@ func decodeRecord(data []byte) (*RunRecord, error) {
 }
 
 // Save writes (or overwrites) a record. The index caches its own decoded
-// copy, detached from the caller's pointer.
-func (s *Store) Save(rec *RunRecord) error {
+// copy, detached from the caller's pointer. While the breaker is open
+// the write fails fast with ErrDown.
+func (s *Store) Save(rec *RunRecord) (err error) {
 	if err := rec.Validate(); err != nil {
 		return err
 	}
@@ -290,6 +343,10 @@ func (s *Store) Save(rec *RunRecord) error {
 	if err != nil {
 		return err
 	}
+	if err := s.brk.refuse("put"); err != nil {
+		return err
+	}
+	defer func() { s.brk.observe(err) }()
 	key := cached.Key()
 	if s.wal != nil {
 		s.walMu.Lock()
@@ -402,7 +459,11 @@ func (s *Store) Load(app, version, runID string) (*RunRecord, error) {
 	// behind the store's back since the last Refresh.
 	data, err := s.backend.Get(key)
 	if err != nil {
-		return nil, asBackendError("get", err)
+		err = asBackendError("get", err)
+	}
+	s.brk.observe(err)
+	if err != nil {
+		return nil, err
 	}
 	rec, err = decodeRecord(data)
 	if err != nil {
@@ -423,8 +484,13 @@ func (s *Store) Load(app, version, runID string) (*RunRecord, error) {
 	return rec, nil
 }
 
-// Delete removes one record from the backend and the index.
-func (s *Store) Delete(app, version, runID string) error {
+// Delete removes one record from the backend and the index. While the
+// breaker is open the delete fails fast with ErrDown.
+func (s *Store) Delete(app, version, runID string) (err error) {
+	if err := s.brk.refuse("delete"); err != nil {
+		return err
+	}
+	defer func() { s.brk.observe(err) }()
 	key := RecordKey{App: app, Version: version, RunID: runID}
 	if s.wal != nil {
 		s.walMu.Lock()
@@ -636,15 +702,20 @@ func asBackendError(op string, err error) error {
 }
 
 // Ping probes the backend with a cheap read. It returns nil while the
-// engine answers (a miss counts as an answer) and the failure otherwise
-// — the health check the diagnosis service uses to notice a degraded
-// store recovering without being restarted.
+// engine answers (a miss counts as an answer), closing the breaker, and
+// the failure otherwise — the probe that lets an open breaker recover
+// without a restart.
 func (s *Store) Ping() error {
 	_, err := s.backend.Get(RecordKey{App: "\x00ping", RunID: "\x00ping"})
 	if err == nil || errors.Is(err, os.ErrNotExist) {
+		s.brk.mu.Lock()
+		s.brk.fails, s.brk.open = 0, false
+		s.brk.mu.Unlock()
 		return nil
 	}
-	return asBackendError("get", err)
+	err = asBackendError("get", err)
+	s.brk.observe(err)
+	return err
 }
 
 // Key returns the record's store key.

@@ -528,7 +528,7 @@ func TestDurableStorePreWALLayoutOpens(t *testing.T) {
 	}
 	st.Close()
 	// And backwards: the old open path must not trip over wal/.
-	stOld, err := OpenStore(dir)
+	stOld, err := OpenStoreDurable(dir, DurableOptions{})
 	if err != nil {
 		t.Fatalf("pre-WAL open path rejected a durable store: %v", err)
 	}
@@ -720,7 +720,7 @@ func TestStoreDeleteLegacyNamedRecord(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, legacy), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, err := OpenStore(dir)
+	st, err := OpenStoreDurable(dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,8 +134,9 @@ func RunSuite(sc *Scenario, opt Options) (*SuiteReport, error) {
 	opt.logf("suite %s: prefilled %d records", sc.Name, sc.Prefill)
 
 	// A health poller stands in for the deployment's health checker: it
-	// keeps /healthz traffic flowing so a degraded server probes its
-	// backend and heals mid-run instead of staying read-only forever.
+	// keeps /healthz traffic flowing so a server with a down store part
+	// probes its backend and heals mid-run instead of refusing those
+	// writes forever.
 	pollCtx, stopPoll := context.WithCancel(ctx)
 	go func() {
 		t := time.NewTicker(100 * time.Millisecond)
@@ -159,7 +160,7 @@ func RunSuite(sc *Scenario, opt Options) (*SuiteReport, error) {
 	}
 
 	// The scripted shard-primary death: KillAt into the measured phase,
-	// one shard's backend starts failing every op. The breaker trips and
+	// one shard's backend starts failing every op. Its breaker trips and
 	// the failover seam keeps the keyspace readable (and, with promote,
 	// writable) through the follower.
 	var killTimer *time.Timer

@@ -68,7 +68,7 @@ type Scenario struct {
 	// DiagnoseMaxTime bounds each diagnosis session in virtual seconds
 	// (<= 0 means 2000 — small enough for sustained traffic).
 	DiagnoseMaxTime float64
-	// BreakerCooldown tunes the served pcd's degraded-mode probe
+	// BreakerCooldown tunes the served pcd's store recovery-probe
 	// interval; load runs want a short one so a fault burst heals within
 	// the run (0 means the server default).
 	BreakerCooldown time.Duration

@@ -40,14 +40,18 @@ type Config struct {
 	// is the journal's fsync policy (-wal-sync, "" means always).
 	WAL     bool
 	WALSync history.SyncPolicy
+	// BreakerThreshold is the consecutive backend failures that open the
+	// store's breaker, each shard's on its own (-breaker-threshold,
+	// <= 0 means 3).
+	BreakerThreshold int
 	// Wrap and WrapShard decorate the store's backends — pcd's -fault-*
 	// flags, a load suite's [faults] table and its scripted shard kill.
 	Wrap      func(history.Backend) history.Backend
 	WrapShard func(shard int, b history.Backend) history.Backend
 	// Server tunes the service: -sessions, -session-timeout,
-	// -breaker-threshold, -breaker-cooldown, -session-retries and the
-	// -ingest-* flags. Replication and WriteGate belong to the node's
-	// role: Start sets them and refuses a Config that does.
+	// -breaker-cooldown, -session-retries and the -ingest-* flags.
+	// Replication and WriteGate belong to the node's role: Start sets
+	// them and refuses a Config that does.
 	Server server.Options
 	// CheckpointEvery is the journaled-session checkpoint cadence in
 	// virtual seconds (-checkpoint-every, <= 0 means 2500);
@@ -155,12 +159,13 @@ func Start(cfg Config) (*Node, error) {
 	}
 
 	st, err := history.OpenStoreAuto(cfg.Store, shards, history.DurableOptions{
-		Create:     cfg.Create,
-		WAL:        cfg.WAL,
-		WALOptions: history.WALOptions{Sync: cfg.WALSync},
-		Wrap:       cfg.Wrap,
-		WrapShard:  cfg.WrapShard,
-		Replicas:   cfg.Replicas,
+		Create:           cfg.Create,
+		WAL:              cfg.WAL,
+		WALOptions:       history.WALOptions{Sync: cfg.WALSync},
+		Wrap:             cfg.Wrap,
+		WrapShard:        cfg.WrapShard,
+		Replicas:         cfg.Replicas,
+		BreakerThreshold: cfg.BreakerThreshold,
 	})
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package node
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"path/filepath"
@@ -149,8 +150,8 @@ func TestDetectorHandsDeadShardOver(t *testing.T) {
 	prim := start(t, Config{
 		Store: primDir, Create: true, Shards: 2, WAL: true, Replicas: 1,
 		AutoFailover: true, LeaseTTL: 300 * time.Millisecond,
-		// A short probe cadence, so the degraded server notices the
-		// handed-over shard within the test.
+		// A short probe cadence, so /healthz keeps probing the dead
+		// shard's store within the test.
 		Server: server.Options{BreakerCooldown: 100 * time.Millisecond},
 		WrapShard: func(shard int, b history.Backend) history.Backend {
 			faults[shard] = history.NewFaultBackend(b, history.FaultConfig{})
@@ -208,5 +209,33 @@ func TestStartRejectsConflictingRoles(t *testing.T) {
 			n.Stop()
 			t.Errorf("Start(%+v) succeeded, want an error", cfg)
 		}
+	}
+}
+
+// TestBreakerThresholdReachesStore: -breaker-threshold configures the
+// store's breaker, so with a threshold of 1 the first failed write opens
+// it and /statsz reports the whole store degraded.
+func TestBreakerThresholdReachesStore(t *testing.T) {
+	var fb *history.FaultBackend
+	n := start(t, Config{
+		Store: t.TempDir(), Create: true, WAL: true, BreakerThreshold: 1,
+		Wrap: func(b history.Backend) history.Backend {
+			fb = history.NewFaultBackend(b, history.FaultConfig{})
+			return fb
+		},
+	})
+	ctx := context.Background()
+	c := client.New(n.URL)
+	fb.SetConfig(history.FaultConfig{ErrRate: 1})
+	if _, err := c.PutRun(ctx, record("A", "r1")); !errors.Is(err, client.ErrUnavailable) {
+		t.Fatalf("put through a failing backend: err = %v, want ErrUnavailable", err)
+	}
+	stats, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !stats.Degraded || stats.BreakerOpens != 1 {
+		t.Errorf("after one failed write: degraded = %v, breaker_opens = %d; want true, 1",
+			stats.Degraded, stats.BreakerOpens)
 	}
 }

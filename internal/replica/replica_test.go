@@ -277,9 +277,9 @@ func TestApplyReplicatedIdempotent(t *testing.T) {
 func TestShardedFailoverPromotion(t *testing.T) {
 	faults := make(map[int]*history.FaultBackend)
 	pst, err := history.OpenSharded(t.TempDir(), 2, history.DurableOptions{
-		Create:                true,
-		WAL:                   true,
-		ShardBreakerThreshold: 2,
+		Create:           true,
+		WAL:              true,
+		BreakerThreshold: 2,
 		WrapShard: func(shard int, b history.Backend) history.Backend {
 			fb := history.NewFaultBackend(b, history.FaultConfig{Seed: int64(shard)})
 			faults[shard] = fb

@@ -80,7 +80,7 @@ func runSoakWorkload(t *testing.T, cl *client.Client, seeds []*harness.SessionRe
 	}
 
 	// A storm segment: the faulty run raises the fault rate enough to
-	// trip the server's breaker, so these writes ride the whole
+	// trip the store's breaker, so these writes ride the whole
 	// degradation ladder — 503s, rejected writes, probe-based recovery.
 	if phase != nil {
 		phase("storm")
@@ -145,10 +145,9 @@ func TestChaosSoak(t *testing.T) {
 	seeds := []*harness.SessionResult{resA, resB}
 
 	opts := server.Options{
-		Sessions:         2,
-		BreakerThreshold: 3,
-		BreakerCooldown:  time.Millisecond,
-		SessionRetries:   2,
+		Sessions:        2,
+		BreakerCooldown: time.Millisecond,
+		SessionRetries:  2,
 	}
 
 	// Fault-free baseline.
@@ -161,12 +160,15 @@ func TestChaosSoak(t *testing.T) {
 	want := runSoakWorkload(t, soakClient(tsGood.URL), seeds, nil)
 
 	// The same workload with 10% injected faults on every backend op.
-	fsb, err := history.NewFSBackend(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb := history.NewFaultBackend(fsb, history.FaultConfig{Seed: chaosSeed})
-	stBad, err := history.NewStoreWith(fb)
+	var fb *history.FaultBackend
+	stBad, err := history.OpenStoreDurable(t.TempDir(), history.DurableOptions{
+		Create:           true,
+		BreakerThreshold: 3,
+		Wrap: func(b history.Backend) history.Backend {
+			fb = history.NewFaultBackend(b, history.FaultConfig{Seed: chaosSeed})
+			return fb
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,13 +224,20 @@ func TestChaosOutageRecovery(t *testing.T) {
 	cfg.RunID = "base"
 	res := runSession(t, "poisson", "A", app.Options{NodeOffset: 1, PidBase: 4000}, cfg)
 
-	fb := history.NewFaultBackend(history.NewMemBackend(), history.FaultConfig{Seed: 1})
-	st, err := history.NewStoreWith(fb)
+	var fb *history.FaultBackend
+	st, err := history.OpenStoreDurable(t.TempDir(), history.DurableOptions{
+		Create:           true,
+		BreakerThreshold: 1,
+		Wrap: func(b history.Backend) history.Backend {
+			fb = history.NewFaultBackend(b, history.FaultConfig{Seed: 1})
+			return fb
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := server.New(harness.NewEnv(st), server.Options{
-		Sessions: 1, BreakerThreshold: 1, BreakerCooldown: time.Millisecond,
+		Sessions: 1, BreakerCooldown: time.Millisecond,
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

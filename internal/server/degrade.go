@@ -11,61 +11,64 @@ import (
 	"repro/internal/history"
 )
 
-// Degraded mode: when the store's backend starts failing, pcd keeps
-// answering reads from the in-memory index but stops accepting writes,
-// refusing them with 503 + Retry-After instead of letting each request
-// discover the outage the slow way. /healthz flips to "degraded" and
-// doubles as the recovery path — each cooldown it probes the backend
-// once and, when the probe succeeds, the server returns to "ok" without
-// a restart.
+// Degraded mode: the store owns the backend breaker — one per fault
+// domain, so one per shard of a sharded store. While a part's breaker is
+// open its writes fail fast with history.ErrDown and reads keep serving
+// from the index. The server maps that (and every other backend error)
+// to 503 + Retry-After, reports "degraded" on /healthz while the whole
+// store refuses writes, and paces the recovery probes: each cooldown
+// while any part is down, one /healthz call pings the store, and a part
+// whose backend answers is back without a restart.
 
 // svcCounters is the atomic backing store for the resilience fields of
 // StatsResponse.
 type svcCounters struct {
 	backendFaults   atomic.Uint64
 	writesRejected  atomic.Uint64
-	breakerOpens    atomic.Uint64
 	backendProbes   atomic.Uint64
 	sessionRetries  atomic.Uint64
 	journalHits     atomic.Uint64
 	sessionsResumed atomic.Uint64
 }
 
-// observeStoreErr feeds one store-operation failure into the breaker.
-// Only backend trouble counts — a miss (os.ErrNotExist) or a validation
-// error is the server answering correctly. Reports whether err was
-// backend trouble.
-func (s *Server) observeStoreErr(err error) bool {
-	if !history.IsBackendError(err) || errors.Is(err, os.ErrNotExist) {
+// noteStoreErr counts one store-operation failure and reports whether it
+// was backend trouble — a miss (os.ErrNotExist) or a validation error is
+// the server answering correctly. A write the store refused fast counts
+// as rejected, any other backend error as a fault.
+func (s *Server) noteStoreErr(err error) bool {
+	var be *history.BackendError
+	if !errors.As(err, &be) || errors.Is(err, os.ErrNotExist) {
 		return false
 	}
-	s.counts.backendFaults.Add(1)
-	s.mu.Lock()
-	s.backendFails++
-	if !s.degraded && s.backendFails >= s.brkThreshold {
-		s.degraded = true
-		s.nextProbe = s.clock().Add(s.brkCooldown)
-		s.counts.breakerOpens.Add(1)
+	if errors.Is(err, history.ErrDown) && be.Op != "get" {
+		s.counts.writesRejected.Add(1)
+	} else {
+		s.counts.backendFaults.Add(1)
 	}
-	s.mu.Unlock()
+	s.watchStore()
 	return true
 }
 
-// observeStoreOK records proof the backend works: the failure streak
-// resets and degraded mode ends.
-func (s *Server) observeStoreOK() {
+// watchStore reads the store's health and keeps the probe schedule in
+// step with it: the first sighting of a down part schedules the first
+// probe one cooldown out, and an all-clear store drops the schedule.
+func (s *Server) watchStore() history.Health {
+	h := s.env.Store().Health()
 	s.mu.Lock()
-	s.backendFails = 0
-	s.degraded = false
-	s.nextProbe = time.Time{}
+	switch {
+	case h.Down == 0:
+		s.nextProbe = time.Time{}
+	case s.nextProbe.IsZero():
+		s.nextProbe = s.clock().Add(s.brkCooldown)
+	}
 	s.mu.Unlock()
+	return h
 }
 
-// isDegraded reports the current degraded state.
+// isDegraded reports whether the whole store refuses writes.
 func (s *Server) isDegraded() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.degraded
+	h := s.env.Store().Health()
+	return h.Down == h.Parts
 }
 
 // clock returns the current time via the test seam when set.
@@ -87,49 +90,36 @@ func (s *Server) writeUnavailable(w http.ResponseWriter, msg string) {
 	writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: msg})
 }
 
-// rejectWriteDegraded refuses a write request while degraded, without
-// touching the backend. Reports whether the request was handled.
-func (s *Server) rejectWriteDegraded(w http.ResponseWriter) bool {
-	if !s.isDegraded() {
-		return false
-	}
-	s.counts.writesRejected.Add(1)
-	s.writeUnavailable(w, "store backend unavailable; writes are disabled while degraded")
-	return true
-}
-
-// failStore maps a store-operation error onto the wire, feeding the
-// breaker: backend trouble becomes 503 + Retry-After, everything else
-// takes the ordinary writeErr path.
+// failStore maps a store-operation error onto the wire: backend trouble
+// becomes 503 + Retry-After, everything else takes the ordinary writeErr
+// path.
 func (s *Server) failStore(w http.ResponseWriter, err error, fallback int) {
-	if s.observeStoreErr(err) {
+	if s.noteStoreErr(err) {
 		s.writeUnavailable(w, err.Error())
 		return
 	}
 	writeErr(w, err, fallback)
 }
 
-// healthProbe runs the degraded-mode recovery check when one is due:
-// at most one backend probe per cooldown window, ending degraded mode
-// on success. Returns the current degraded state.
+// healthProbe runs the recovery check when one is due — at most one
+// store Ping per cooldown window while any part is down — and reports
+// whether the whole store still refuses writes.
 func (s *Server) healthProbe() bool {
+	h := s.watchStore()
 	s.mu.Lock()
-	degraded := s.degraded
-	due := degraded && !s.clock().Before(s.nextProbe)
+	due := h.Down > 0 && !s.clock().Before(s.nextProbe)
 	if due {
 		// Claim this window's probe so concurrent health checks don't
 		// pile onto a struggling backend.
 		s.nextProbe = s.clock().Add(s.brkCooldown)
 	}
 	s.mu.Unlock()
-	if !due {
-		return degraded
+	if due {
+		s.counts.backendProbes.Add(1)
+		if err := s.env.Store().Ping(); err != nil {
+			s.counts.backendFaults.Add(1)
+		}
+		s.watchStore()
 	}
-	s.counts.backendProbes.Add(1)
-	if err := s.env.Store().Ping(); err != nil {
-		s.counts.backendFaults.Add(1)
-		return true
-	}
-	s.observeStoreOK()
-	return false
+	return s.isDegraded()
 }

@@ -16,11 +16,20 @@ import (
 	"repro/internal/history"
 )
 
-// faultServer builds a server over a fault-injectable in-memory store.
-func faultServer(t *testing.T, opts Options) (*Server, *history.FaultBackend) {
+// faultServer builds a server over a fault-injectable store whose
+// breaker opens after threshold consecutive backend failures (<= 0
+// means the default).
+func faultServer(t *testing.T, threshold int, opts Options) (*Server, *history.FaultBackend) {
 	t.Helper()
-	fb := history.NewFaultBackend(history.NewMemBackend(), history.FaultConfig{Seed: 1})
-	st, err := history.NewStoreWith(fb)
+	var fb *history.FaultBackend
+	st, err := history.OpenStoreDurable(t.TempDir(), history.DurableOptions{
+		Create:           true,
+		BreakerThreshold: threshold,
+		Wrap: func(b history.Backend) history.Backend {
+			fb = history.NewFaultBackend(b, history.FaultConfig{Seed: 1})
+			return fb
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +68,7 @@ const putBody = `{"app":"poisson","version":"A","run_id":"r1"}`
 // and after the backend heals a due health probe returns the server to
 // "ok" without a restart.
 func TestDegradedModeLifecycle(t *testing.T) {
-	srv, fb := faultServer(t, Options{Sessions: 1, BreakerThreshold: 2, BreakerCooldown: time.Minute})
+	srv, fb := faultServer(t, 2, Options{Sessions: 1, BreakerCooldown: time.Minute})
 	clock := time.Unix(5000, 0)
 	srv.now = func() time.Time { return clock }
 	h := srv.Handler()
@@ -149,7 +158,7 @@ func TestDegradedModeLifecycle(t *testing.T) {
 // TestDegradedProbeOncePerWindow proves concurrent health checks admit
 // at most one backend probe per cooldown window.
 func TestDegradedProbeOncePerWindow(t *testing.T) {
-	srv, fb := faultServer(t, Options{Sessions: 1, BreakerThreshold: 1, BreakerCooldown: time.Minute})
+	srv, fb := faultServer(t, 1, Options{Sessions: 1, BreakerCooldown: time.Minute})
 	clock := time.Unix(5000, 0)
 	srv.now = func() time.Time { return clock }
 	h := srv.Handler()
@@ -168,7 +177,7 @@ func TestDegradedProbeOncePerWindow(t *testing.T) {
 // TestDiagnoseSessionRetry proves the server re-runs a diagnosis
 // session that failed with a transient error, invisibly to the client.
 func TestDiagnoseSessionRetry(t *testing.T) {
-	srv, _ := faultServer(t, Options{Sessions: 1, SessionRetries: 2})
+	srv, _ := faultServer(t, 0, Options{Sessions: 1, SessionRetries: 2})
 	var calls atomic.Int64
 	srv.runJobs = func(ctx context.Context, jobs []harness.SessionJob, workers int, gate harness.Gate) ([]*harness.SessionResult, error) {
 		if calls.Add(1) == 1 {
@@ -194,7 +203,7 @@ func TestDiagnoseSessionRetry(t *testing.T) {
 // TestDiagnoseSessionRetryExhausted proves a transient fault outlasting
 // the session budget surfaces as 503 + Retry-After, not a 400.
 func TestDiagnoseSessionRetryExhausted(t *testing.T) {
-	srv, _ := faultServer(t, Options{Sessions: 1, SessionRetries: 1})
+	srv, _ := faultServer(t, 0, Options{Sessions: 1, SessionRetries: 1})
 	srv.runJobs = func(ctx context.Context, jobs []harness.SessionJob, workers int, gate harness.Gate) ([]*harness.SessionResult, error) {
 		return []*harness.SessionResult{nil}, &harness.SchedulerError{Jobs: []*harness.JobError{
 			{Index: 0, Err: &history.BackendError{Op: "scan", Err: errors.New("still down")}},

@@ -228,14 +228,13 @@ func (s *Server) handlePutRun(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, fmt.Errorf("decode run record: %w", err), http.StatusBadRequest)
 		return
 	}
-	if s.rejectWriteDegraded(w) || s.rejectWriteGated(w, rec.App, rec.Version) {
+	if s.rejectWriteGated(w, rec.App, rec.Version) {
 		return
 	}
 	if err := s.env.Store().Save(&rec); err != nil {
 		s.failStore(w, err, http.StatusBadRequest)
 		return
 	}
-	s.observeStoreOK()
 	writeJSON(w, http.StatusOK, PutRunResponse{Saved: rec.Key().String()})
 }
 
@@ -245,14 +244,13 @@ func (s *Server) handleDeleteRun(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err, http.StatusBadRequest)
 		return
 	}
-	if s.rejectWriteDegraded(w) || s.rejectWriteGated(w, key.App, key.Version) {
+	if s.rejectWriteGated(w, key.App, key.Version) {
 		return
 	}
 	if err := s.env.Store().Delete(key.App, key.Version, key.RunID); err != nil {
 		s.failStore(w, err, http.StatusBadRequest)
 		return
 	}
-	s.observeStoreOK()
 	writeJSON(w, http.StatusOK, DeleteRunResponse{Deleted: key.String()})
 }
 
@@ -572,7 +570,7 @@ func (s *Server) runDiagnose(ctx context.Context, req *DiagnoseRequest, journalK
 		if history.IsTransient(err) {
 			// The retries are spent and the fault persists: tell the
 			// client to come back later, not that its request was bad.
-			s.observeStoreErr(err)
+			s.noteStoreErr(err)
 			return nil, &diagnoseError{err: err, unavailable: true}
 		}
 		return nil, &diagnoseError{err: err}
@@ -589,13 +587,6 @@ func (s *Server) runDiagnose(ctx context.Context, req *DiagnoseRequest, journalK
 		Bottlenecks:       WireBottlenecks(res.Bottlenecks),
 	}
 	if req.Save {
-		if s.isDegraded() {
-			s.counts.writesRejected.Add(1)
-			return nil, &diagnoseError{
-				err:         errors.New("store backend unavailable; writes are disabled while degraded"),
-				unavailable: true,
-			}
-		}
 		if s.writeGate != nil {
 			if err := s.writeGate(req.App, req.Version); err != nil {
 				s.counts.writesRejected.Add(1)
@@ -604,12 +595,8 @@ func (s *Server) runDiagnose(ctx context.Context, req *DiagnoseRequest, journalK
 		}
 		rec, err := s.env.SaveResult(res)
 		if err != nil {
-			if s.observeStoreErr(err) {
-				return nil, &diagnoseError{err: err, unavailable: true}
-			}
-			return nil, &diagnoseError{err: err}
+			return nil, &diagnoseError{err: err, unavailable: s.noteStoreErr(err)}
 		}
-		s.observeStoreOK()
 		resp.Saved = rec.Key().String()
 	}
 	return resp, nil

@@ -13,9 +13,9 @@ import (
 // The streaming-intake endpoints: POST /api/v1/ingest/{start,samples,
 // end} carry the wire shapes of internal/ingest (FORMATS.md "Streaming
 // ingestion"). The manager owns the sessions; these handlers only map
-// its sentinel errors onto statuses and feed the store-health breaker
-// on the write path (the end-of-stream marker is the only call here
-// that touches the backend).
+// its sentinel errors onto statuses; the end-of-stream marker is the
+// only call here that touches the backend, and its store failures take
+// the ordinary 503 path.
 
 // writeIngestErr maps an intake error onto the wire: backpressure is
 // 429 + Retry-After (the client's cue to let the queue drain), an
@@ -71,10 +71,10 @@ func (s *Server) handleIngestEnd(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, fmt.Errorf("decode ingest end: %w", err), http.StatusBadRequest)
 		return
 	}
-	// The marker finalizes into the store; while degraded, refuse it
-	// up front (the stream stays alive for a later retry). A discard
-	// writes nothing and is always allowed.
-	if !req.Discard && (s.rejectWriteDegraded(w) || s.rejectWriteGated(w, req.App, req.Version)) {
+	// The marker finalizes into the store; a gated follower refuses it
+	// up front, and a failed save keeps the stream alive for a later
+	// retry. A discard writes nothing and is always allowed.
+	if !req.Discard && s.rejectWriteGated(w, req.App, req.Version) {
 		return
 	}
 	resp, err := s.intake.End(&req)
@@ -85,9 +85,6 @@ func (s *Server) handleIngestEnd(w http.ResponseWriter, r *http.Request) {
 		}
 		s.writeIngestErr(w, err)
 		return
-	}
-	if resp.Saved != "" {
-		s.observeStoreOK()
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -102,9 +99,6 @@ func (s *Server) handlePutRuns(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, fmt.Errorf("empty batch"), http.StatusBadRequest)
 		return
 	}
-	if s.rejectWriteDegraded(w) {
-		return
-	}
 	for _, rec := range req.Runs {
 		if s.rejectWriteGated(w, rec.App, rec.Version) {
 			return
@@ -117,7 +111,6 @@ func (s *Server) handlePutRuns(w http.ResponseWriter, r *http.Request) {
 		s.failStore(w, fmt.Errorf("batch stopped after %d of %d: %w", n, len(req.Runs), err), http.StatusBadRequest)
 		return
 	}
-	s.observeStoreOK()
 	saved := make([]string, len(req.Runs))
 	for i, rec := range req.Runs {
 		saved[i] = rec.Key().String()

@@ -32,13 +32,10 @@ type Options struct {
 	// SessionTimeout bounds one diagnose request's wall-clock time,
 	// including time queued for a session slot; 0 means no timeout.
 	SessionTimeout time.Duration
-	// BreakerThreshold is the number of consecutive backend failures
-	// that flips the server into degraded mode (reads from the index,
-	// writes refused with 503); <= 0 means 3.
-	BreakerThreshold int
-	// BreakerCooldown is how long degraded mode waits between backend
-	// recovery probes, and the Retry-After given to refused writes;
-	// <= 0 means 5s.
+	// BreakerCooldown is how long the server waits between store
+	// recovery probes while any part of the store is down, and the
+	// Retry-After given to refused writes; <= 0 means 5s. The breaker
+	// itself is the store's (history.DurableOptions.BreakerThreshold).
 	BreakerCooldown time.Duration
 	// SessionRetries is how many times a diagnosis session that fails
 	// with a transient (injected or backend I/O) error is re-run before
@@ -67,7 +64,6 @@ type Server struct {
 	pool           *sessionPool
 	sessionTimeout time.Duration
 	sessionRetries int
-	brkThreshold   int
 	brkCooldown    time.Duration
 	mux            *http.ServeMux
 
@@ -96,23 +92,19 @@ type Server struct {
 	// so reads stay lock-free.
 	inFlight atomic.Int64
 	opCounts map[string]*atomic.Uint64
-	// now is a test seam for the degraded-mode clock; nil means
-	// time.Now.
+	// now is a test seam for the probe clock; nil means time.Now.
 	now func() time.Time
 
 	// mu guards the drain state, the in-flight diagnose count, and the
-	// degradation breaker; cond is signalled each time a diagnose
-	// request finishes so Drain can wait for the count to reach zero.
+	// probe schedule; cond is signalled each time a diagnose request
+	// finishes so Drain can wait for the count to reach zero.
 	mu       sync.Mutex
 	cond     *sync.Cond
 	draining bool
 	active   int
-	// backendFails counts consecutive backend failures; at
-	// brkThreshold the server turns degraded until a probe (scheduled
-	// at nextProbe) proves the backend healthy again.
-	backendFails int
-	degraded     bool
-	nextProbe    time.Time
+	// nextProbe is when /healthz may next ping a store with a down
+	// part; zero while every part serves.
+	nextProbe time.Time
 
 	// runJobs is harness.RunSessionsGated, replaceable by lifecycle
 	// tests that need sessions to block or fail on command.
@@ -125,10 +117,6 @@ func New(env *harness.Env, opts Options) *Server {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	thr := opts.BreakerThreshold
-	if thr <= 0 {
-		thr = 3
-	}
 	cd := opts.BreakerCooldown
 	if cd <= 0 {
 		cd = 5 * time.Second
@@ -138,7 +126,6 @@ func New(env *harness.Env, opts Options) *Server {
 		pool:           newSessionPool(n),
 		sessionTimeout: opts.SessionTimeout,
 		sessionRetries: opts.SessionRetries,
-		brkThreshold:   thr,
 		brkCooldown:    cd,
 		runJobs:        harness.RunSessionsGated,
 		opCounts:       map[string]*atomic.Uint64{},
@@ -312,8 +299,9 @@ func (s *Server) endDiagnose() {
 // stats snapshots the live counters for /statsz.
 func (s *Server) stats() StatsResponse {
 	s.mu.Lock()
-	active, draining, degraded := s.active, s.draining, s.degraded
+	active, draining := s.active, s.draining
 	s.mu.Unlock()
+	health := s.env.Store().Health()
 	hits, misses := s.env.Cache().Stats()
 	ws := s.env.Store().WALStats()
 	var shards []history.ShardInfo
@@ -334,10 +322,10 @@ func (s *Server) stats() StatsResponse {
 		StoreRecords:    s.env.Store().Len(),
 		StoreIssues:     len(s.env.Store().ScanIssues()),
 		Draining:        draining,
-		Degraded:        degraded,
+		Degraded:        health.Down == health.Parts,
 		BackendFaults:   s.counts.backendFaults.Load(),
 		WritesRejected:  s.counts.writesRejected.Load(),
-		BreakerOpens:    s.counts.breakerOpens.Load(),
+		BreakerOpens:    health.BreakerOpens,
 		BackendProbes:   s.counts.backendProbes.Load(),
 		SessionRetries:  s.counts.sessionRetries.Load(),
 		WALAppends:      ws.Appends,

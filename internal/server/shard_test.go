@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"reflect"
+	"strconv"
 	"testing"
 	"time"
 
@@ -17,8 +18,8 @@ func shardedFaultServer(t *testing.T, opts Options) (*Server, map[int]*history.F
 	t.Helper()
 	faults := make(map[int]*history.FaultBackend)
 	st, err := history.OpenSharded(t.TempDir(), 4, history.DurableOptions{
-		Create:                true,
-		ShardBreakerThreshold: 2,
+		Create:           true,
+		BreakerThreshold: 2,
 		WrapShard: func(shard int, b history.Backend) history.Backend {
 			fb := history.NewFaultBackend(b, history.FaultConfig{Seed: int64(shard)})
 			faults[shard] = fb
@@ -76,7 +77,7 @@ func queryVersions(t *testing.T, h http.Handler) ([]string, map[string]any) {
 // the other shards serve, and the existing health probe revives the
 // shard once its backend heals — no restart anywhere.
 func TestShardedPartialFailure(t *testing.T) {
-	srv, faults := shardedFaultServer(t, Options{Sessions: 1, BreakerThreshold: 2, BreakerCooldown: time.Minute})
+	srv, faults := shardedFaultServer(t, Options{Sessions: 1, BreakerCooldown: time.Minute})
 	clock := time.Unix(9000, 0)
 	srv.now = func() time.Time { return clock }
 	h := srv.Handler()
@@ -95,8 +96,7 @@ func TestShardedPartialFailure(t *testing.T) {
 	downShard := history.ShardForKey("poisson", "B", 4)
 
 	// Shard B's backend dies. Each write to its keyspace is 503 +
-	// Retry-After; the second trips both the shard breaker and the
-	// server breaker.
+	// Retry-After; the second trips the shard's breaker.
 	faults[downShard].SetConfig(history.FaultConfig{ErrRate: 1})
 	for i := 0; i < 2; i++ {
 		resp := putPoisson(t, h, "B", "r2", 0.5)
@@ -160,8 +160,7 @@ func TestShardedPartialFailure(t *testing.T) {
 	}
 
 	// The backend heals. Writes to the shard still fail fast (only a
-	// probe re-admits it); two of them re-trip the server breaker, and
-	// the next due probe revives the shard and ends degraded mode.
+	// probe re-admits it), and the next due probe revives the shard.
 	faults[downShard].SetConfig(history.FaultConfig{})
 	for i := 0; i < 2; i++ {
 		if resp := putPoisson(t, h, "B", "r3", 0.5); resp.StatusCode != http.StatusServiceUnavailable {
@@ -192,7 +191,7 @@ func TestShardedPartialFailure(t *testing.T) {
 // store exports no shards section, so dashboards can key the layout off
 // the field's presence.
 func TestShardedStatszOmittedForSingleStore(t *testing.T) {
-	srv, _ := faultServer(t, Options{Sessions: 1})
+	srv, _ := faultServer(t, 0, Options{Sessions: 1})
 	data, err := json.Marshal(srv.stats())
 	if err != nil {
 		t.Fatal(err)
@@ -203,5 +202,51 @@ func TestShardedStatszOmittedForSingleStore(t *testing.T) {
 	}
 	if _, present := m["shards"]; present {
 		t.Errorf("single-store statsz carries a shards section: %s", data)
+	}
+}
+
+// TestDegradedShardLeavesHealthyShardsWritable proves the breaker is
+// per shard: once one shard's breaker opens, writes to the three healthy
+// shards keep answering 200 with no /healthz call in between, while the
+// dead shard's keyspace answers 503 + Retry-After without touching its
+// backend.
+func TestDegradedShardLeavesHealthyShardsWritable(t *testing.T) {
+	srv, faults := shardedFaultServer(t, Options{Sessions: 1, BreakerCooldown: time.Minute})
+	h := srv.Handler()
+
+	// Versions A, B, G, H land on shards 3, 2, 0, 1; B's shard dies.
+	// Two failed puts open its breaker, the third is refused fast.
+	downShard := history.ShardForKey("poisson", "B", 4)
+	faults[downShard].SetConfig(history.FaultConfig{ErrRate: 1})
+	for i := 0; i < 3; i++ {
+		if resp := putPoisson(t, h, "B", "r1", 0.5); resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("failing put %d: status %d, want 503", i, resp.StatusCode)
+		}
+	}
+	if st := srv.stats(); !st.Shards[downShard].Degraded || st.Degraded {
+		t.Errorf("after the trip: shard %d degraded = %v, store degraded = %v; want true, false",
+			downShard, st.Shards[downShard].Degraded, st.Degraded)
+	}
+
+	for round := 0; round < 2; round++ {
+		for _, v := range []string{"A", "G", "H"} {
+			runID := "r" + strconv.Itoa(round+2)
+			if resp := putPoisson(t, h, v, runID, 0.5); resp.StatusCode != http.StatusOK {
+				t.Errorf("put %s/%s to a healthy shard: status %d, want 200", v, runID, resp.StatusCode)
+			}
+		}
+	}
+
+	opsBefore := faults[downShard].Counters().Ops
+	resp := putPoisson(t, h, "B", "r2", 0.5)
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("put to the dead shard: status %d, Retry-After %q; want 503 + Retry-After",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	if ops := faults[downShard].Counters().Ops; ops != opsBefore {
+		t.Errorf("write to the dead shard touched its backend (%d ops -> %d)", opsBefore, ops)
+	}
+	if st := srv.stats(); st.BackendProbes != 0 {
+		t.Errorf("probes = %d, want none without /healthz", st.BackendProbes)
 	}
 }

@@ -272,7 +272,7 @@ func TestStatszReplicationCounters(t *testing.T) {
 // outcome — and that the gauges move: a write bumps exactly its home
 // shard's count, and a shard whose backend dies reports degraded.
 func TestStatszShardGauges(t *testing.T) {
-	srv, faults := shardedFaultServer(t, Options{Sessions: 1, BreakerThreshold: 100})
+	srv, faults := shardedFaultServer(t, Options{Sessions: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

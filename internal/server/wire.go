@@ -32,7 +32,7 @@ type ErrorResponse struct {
 }
 
 // HealthResponse is GET /healthz: "ok" while serving, "degraded" while
-// the store backend is failing (reads only), "draining" once shutdown
+// the whole store refuses writes (reads only), "draining" once shutdown
 // has begun.
 type HealthResponse struct {
 	Status string `json:"status"`
@@ -56,13 +56,17 @@ type StatsResponse struct {
 	StoreRecords int  `json:"store_records"`
 	StoreIssues  int  `json:"store_issues"`
 	Draining     bool `json:"draining"`
-	// Degraded reports whether the backend breaker is open: reads come
-	// from the index, writes are refused with 503 until a probe heals.
+	// Degraded reports whether the whole store refuses writes: the
+	// store's breaker is open, or — sharded — every shard is down. Reads
+	// come from the index, writes are refused with 503 until a probe
+	// heals a part.
 	Degraded bool `json:"degraded"`
 	// BackendFaults counts store operations (and health probes) that
 	// failed with backend trouble; WritesRejected counts writes refused
-	// while degraded; BreakerOpens counts ok→degraded transitions;
-	// BackendProbes counts /healthz recovery probes.
+	// without touching the backend (an open breaker, a down shard, a
+	// follower's write gate); BreakerOpens counts the store breakers'
+	// closed→open transitions, summed over shards; BackendProbes counts
+	// /healthz recovery probes.
 	BackendFaults  uint64 `json:"backend_faults"`
 	WritesRejected uint64 `json:"writes_rejected"`
 	BreakerOpens   uint64 `json:"breaker_opens"`
